@@ -501,7 +501,8 @@ pub struct CloudPoint {
     pub fairness_milli: u64,
     /// Wall-clock time of the whole run, µs.
     pub wall_us: u128,
-    /// `"threaded"` or `"serial"` drain.
+    /// Drain mode, always `"serial"`: the drain runs on the caller's
+    /// thread (the field keeps the `BENCH_perf.json` schema stable).
     pub mode: &'static str,
 }
 
@@ -514,16 +515,12 @@ impl CloudPoint {
 
 /// Runs the ingest-scaling workload once per device count and measures
 /// it: virtual-time statistics in the deterministic block, wall clock
-/// in timing. `threaded` picks the drain mode (both produce identical
-/// deterministic blocks — that is the point of the contract).
-pub fn cloud_matrix(devices_axis: &[u32], threaded: bool) -> Vec<CloudPoint> {
+/// in timing.
+pub fn cloud_matrix(devices_axis: &[u32]) -> Vec<CloudPoint> {
     devices_axis
         .iter()
         .map(|&devices| {
-            let config = IngestConfig {
-                threaded,
-                ..IngestConfig::default()
-            };
+            let config = IngestConfig::default();
             let started = std::time::Instant::now();
             let pipe = run_fleet(devices, SessionPlan::default(), config, SEED);
             let wall_us = started.elapsed().as_micros();
@@ -541,7 +538,7 @@ pub fn cloud_matrix(devices_axis: &[u32], threaded: bool) -> Vec<CloudPoint> {
                 p99_us: lat.quantile(0.99).round() as u64,
                 fairness_milli: (fairness * 1000.0).round() as u64,
                 wall_us,
-                mode: if threaded { "threaded" } else { "serial" },
+                mode: "serial",
             }
         })
         .collect()
@@ -679,35 +676,6 @@ mod tests {
             "rho 2.0 must shed hard: {:?}",
             rows[3]
         );
-    }
-
-    #[test]
-    fn cloud_matrix_deterministic_blocks_are_mode_invariant() {
-        let a = cloud_matrix(&[100, 300], true);
-        let b = cloud_matrix(&[100, 300], false);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                (
-                    x.sessions,
-                    x.msgs,
-                    x.accepted,
-                    x.shed,
-                    x.p50_us,
-                    x.p99_us,
-                    x.fairness_milli
-                ),
-                (
-                    y.sessions,
-                    y.msgs,
-                    y.accepted,
-                    y.shed,
-                    y.p50_us,
-                    y.p99_us,
-                    y.fairness_milli
-                ),
-                "threaded and serial cloud runs must agree exactly"
-            );
-        }
     }
 
     #[test]

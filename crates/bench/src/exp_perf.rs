@@ -591,7 +591,7 @@ mod tests {
             p99_us: 12_000,
             fairness_milli: 998,
             wall_us: 250_000,
-            mode: "threaded",
+            mode: "serial",
         };
         let sp = crate::exp_stream::StreamPoint {
             sessions: 100_000,

@@ -120,9 +120,9 @@ fn e15_jobs1_and_jobs2_tables_are_identical() {
     assert_eq!(seq.3.to_json(), par.3.to_json());
 }
 
-/// E16's tables — whose trials run the cloud pipeline's threaded
-/// per-shard drain *inside* runner worker threads — must be
-/// byte-identical at `--jobs 1` and `--jobs 2`, tables and JSON both.
+/// E16's tables — whose trials run the cloud pipeline's sharded drain
+/// *inside* runner worker threads — must be byte-identical at
+/// `--jobs 1` and `--jobs 2`, tables and JSON both.
 #[test]
 fn e16_jobs1_and_jobs2_tables_are_identical() {
     let run = |jobs: usize| {

@@ -1,42 +1,42 @@
 //! The northbound ingest pipeline: per-tenant bounded queues, sharded
-//! batch-drain workers, explicit backpressure.
+//! batch drain, explicit backpressure.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   uplinks ──► front door ──► tenant queues (bounded) ──► drain workers
-//!              (auth + shed)        shard 0: t0 t2 …          1/shard
-//!                                   shard 1: t1 t3 …
+//!   uplinks ──► front door ──► tenant queues (bounded) ──► drain tick
+//!              (auth + shed)        shard 0: t0 t2 …        (caller's
+//!                                   shard 1: t1 t3 …         thread)
 //! ```
 //!
-//! The *front door* ([`IngestPipeline::offer`]) is single-threaded: it
-//! authenticates each message against the [`DeviceRegistry`], then
-//! `try_send`s it into the owning tenant's bounded crossbeam channel.
-//! A full queue triggers the tenant's [`ShedPolicy`] — reject the
-//! arrival or evict the oldest — and either way the shed is counted
-//! and (when tracing) emitted as a `CloudShed` event. Nothing ever
-//! blocks and no queue grows past its cap: backpressure is explicit,
-//! observable, and bounded-memory by construction.
+//! The *front door* ([`IngestPipeline::offer`]) authenticates each
+//! message against the [`DeviceRegistry`], then appends it to the
+//! owning tenant's bounded FIFO queue. A full queue triggers the
+//! tenant's [`ShedPolicy`] — reject the arrival or evict the oldest —
+//! and either way the shed is counted and (when tracing) emitted as a
+//! `CloudShed` event. Nothing ever blocks and no queue grows past its
+//! cap: backpressure is explicit, observable, and bounded-memory by
+//! construction.
 //!
 //! *Drain* ([`IngestPipeline::drain_until`]) advances virtual time in
-//! fixed ticks. Each tick, every shard drains up to `drain_batch`
-//! messages per queue — one scoped worker thread per shard when
-//! `threaded`, or a plain loop when not. Delivery latency is measured
-//! in **virtual time** (drain-tick instant minus arrival instant), so
-//! the numbers a run reports are a pure function of workload and
-//! configuration: threaded and serial drains, and any `--jobs` value
-//! above them, produce byte-identical statistics. Wall-clock throughput
-//! is measured by callers and reported separately as informational
-//! timing.
+//! fixed ticks on the caller's thread, skipping ticks with nothing
+//! queued. Each tick visits the shards in order and drains up to
+//! `drain_batch` messages per queue. Shards fix which queues share a
+//! drain slot and in what order they drain; they are not threads — a
+//! tick moves a handful of messages, far less work than starting one.
+//! Delivery latency is measured in **virtual time** (drain-tick instant
+//! minus arrival instant), so the numbers a run reports are a pure
+//! function of workload and configuration, byte-identical for any
+//! `--jobs` value above them. Wall-clock throughput is measured by
+//! callers and reported separately as informational timing.
 
 use crate::registry::DeviceRegistry;
 use crate::stream::{encode_uplink, StreamAttachment, StreamConfig};
 use crate::tenant::{Isolation, ShedPolicy, TenantId};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use iiot_sim::obs::{Event, EventKind, Histogram, Recorder, SpanId};
 use iiot_sim::{NodeId, SimDuration, SimTime};
 use iiot_stream::{AdmissionControl, EventLog, WindowAggregator, WindowKey, WindowResult};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One northbound uplink message, as the cloud's front door sees it.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +58,7 @@ pub struct UplinkMsg {
 pub struct IngestConfig {
     /// Number of drain shards (tenant `i` lives on shard `i % shards`).
     pub shards: usize,
-    /// Bounded capacity of each tenant queue, in messages.
+    /// Bounded capacity of each tenant queue, in messages (at least 1).
     pub queue_cap: usize,
     /// Messages drained per queue per tick.
     pub drain_batch: usize,
@@ -68,10 +68,6 @@ pub struct IngestConfig {
     pub policy: ShedPolicy,
     /// Queue-per-tenant or shared-per-shard (E16's fairness control).
     pub isolation: Isolation,
-    /// Drain shards on scoped worker threads (`true`) or serially.
-    /// Both modes produce identical statistics; this only changes
-    /// wall-clock behavior.
-    pub threaded: bool,
 }
 
 impl Default for IngestConfig {
@@ -83,7 +79,6 @@ impl Default for IngestConfig {
             tick: SimDuration::from_millis(10),
             policy: ShedPolicy::RejectNew,
             isolation: Isolation::PerTenant,
-            threaded: true,
         }
     }
 }
@@ -102,7 +97,7 @@ pub struct TenantStats {
     pub shed_ratelimit: u64,
     /// Messages shed to backpressure (either policy).
     pub shed_full: u64,
-    /// Messages delivered by drain workers.
+    /// Messages delivered by the drain.
     pub drained: u64,
     /// Highest queue depth observed after an enqueue.
     pub max_depth: u32,
@@ -117,25 +112,20 @@ impl TenantStats {
     }
 }
 
-/// One tenant's bounded queue: the front door holds the sender, the
-/// drain side borrows the receiver. Both halves stay in this struct;
-/// the pipeline's phase discipline (offer, then drain) makes that safe.
-struct TenantQueue {
-    tenant: TenantId,
-    tx: Sender<UplinkMsg>,
-    rx: Receiver<UplinkMsg>,
-}
-
 /// The multi-tenant ingest pipeline; see the [module docs](self).
 pub struct IngestPipeline {
     registry: DeviceRegistry,
     config: IngestConfig,
-    /// `shards[s]` owns the queues of every tenant with `shard() == s`.
-    shards: Vec<Vec<TenantQueue>>,
+    /// Bounded FIFO queues in drain order: shard 0's, then shard 1's, …
+    /// (one per tenant, or one per shard under [`Isolation::Shared`]).
+    queues: Vec<VecDeque<UplinkMsg>>,
+    /// Tenant id → index of its queue in `queues`, built once in
+    /// [`new`](Self::new); tenant ids are dense small integers.
+    route: Vec<usize>,
     stats: BTreeMap<TenantId, TenantStats>,
     /// Optional structured-event recorder (see
-    /// [`iiot_sim::obs::scope_capture`]); fed only from the
-    /// single-threaded front door, so event order is deterministic.
+    /// [`iiot_sim::obs::scope_capture`]); fed only from the front
+    /// door, so event order is deterministic.
     recorder: Option<Box<dyn Recorder>>,
     /// Stream-plane attachment: write-ahead log, admission control,
     /// aggregation windows (all optional; see [`StreamConfig`]).
@@ -148,29 +138,20 @@ impl IngestPipeline {
     /// (or per shard under [`Isolation::Shared`]), assigned to shards
     /// statically.
     pub fn new(registry: DeviceRegistry, config: IngestConfig) -> Self {
-        let shards_n = config.shards.max(1);
-        let mut shards: Vec<Vec<TenantQueue>> = (0..shards_n).map(|_| Vec::new()).collect();
-        match config.isolation {
-            Isolation::PerTenant => {
-                for tenant in registry.tenants() {
-                    let (tx, rx) = bounded(config.queue_cap);
-                    shards[tenant.shard(shards_n)].push(TenantQueue { tenant, tx, rx });
+        let shards = config.shards.max(1);
+        // `tenants()` runs in id order, so the last id bounds them all.
+        let ids = registry.tenants().last().map_or(0, |t| t.0 as usize + 1);
+        let mut route = vec![usize::MAX; ids];
+        let mut queues = Vec::new();
+        for s in 0..shards {
+            let first = queues.len();
+            for tenant in registry.tenants().filter(|t| t.shard(shards) == s) {
+                // Under shared isolation every tenant on the shard
+                // funnels into the shard's one queue.
+                if config.isolation == Isolation::PerTenant || queues.len() == first {
+                    queues.push(VecDeque::new());
                 }
-            }
-            Isolation::Shared => {
-                // One queue per shard; every tenant mapping there
-                // shares it. Keyed under the shard's first tenant.
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let mut tenants = registry.tenants().filter(|t| t.shard(shards_n) == s);
-                    if let Some(first) = tenants.next() {
-                        let (tx, rx) = bounded(config.queue_cap);
-                        shard.push(TenantQueue {
-                            tenant: first,
-                            tx,
-                            rx,
-                        });
-                    }
-                }
+                route[tenant.0 as usize] = queues.len() - 1;
             }
         }
         let stats = registry
@@ -180,7 +161,8 @@ impl IngestPipeline {
         IngestPipeline {
             registry,
             config,
-            shards,
+            queues,
+            route,
             stats,
             recorder: None,
             stream: StreamAttachment::default(),
@@ -255,21 +237,6 @@ impl IngestPipeline {
         }
     }
 
-    /// Which queue serves `tenant` under the configured isolation.
-    fn queue_index(&self, tenant: TenantId) -> (usize, usize) {
-        let s = tenant.shard(self.shards.len());
-        match self.config.isolation {
-            Isolation::PerTenant => {
-                let i = self.shards[s]
-                    .iter()
-                    .position(|q| q.tenant == tenant)
-                    .expect("tenant registered after pipeline construction");
-                (s, i)
-            }
-            Isolation::Shared => (s, 0),
-        }
-    }
-
     /// The front door: log write-ahead, admit, authenticate, enqueue,
     /// shed on backpressure. Returns `true` when the message was
     /// admitted to a queue.
@@ -283,16 +250,15 @@ impl IngestPipeline {
     /// at the door (`cloud_ratelimit`), untouched by any buffer.
     ///
     /// `offer` never blocks; a full queue invokes the configured
-    /// [`ShedPolicy`] instead. Must be called from one thread (the
-    /// load generator) — determinism of both statistics and emitted
-    /// events depends on arrival order.
+    /// [`ShedPolicy`] instead. Statistics and emitted events are a
+    /// pure function of arrival order.
     pub fn offer(&mut self, msg: UplinkMsg) -> bool {
         self.now = self.now.max(msg.t);
         let tenant = msg.tenant;
+        let shard = tenant.shard(self.config.shards);
         if let Some(wal) = self.stream.wal.as_mut() {
             let info = wal.append(&encode_uplink(&msg));
             if let Some((segment, records)) = info.sealed {
-                let shard = tenant.shard(self.shards.len());
                 self.emit(shard, EventKind::StreamSeal { segment, records });
             }
         }
@@ -311,7 +277,6 @@ impl IngestPipeline {
             if let Some(st) = self.stats.get_mut(&tenant) {
                 st.shed_ratelimit += 1;
             }
-            let shard = tenant.shard(self.shards.len());
             self.emit(
                 shard,
                 EventKind::CloudRateLimit {
@@ -328,7 +293,6 @@ impl IngestPipeline {
             if let Some(st) = self.stats.get_mut(&tenant) {
                 st.shed_auth += 1;
             }
-            let shard = tenant.shard(self.shards.len());
             self.emit(
                 shard,
                 EventKind::CloudShed {
@@ -338,80 +302,46 @@ impl IngestPipeline {
             );
             return false;
         }
-        let (s, i) = self.queue_index(tenant);
-        let q = &self.shards[s][i];
-        match q.tx.try_send(msg) {
-            Ok(()) => {
-                let depth = q.tx.len() as u32;
-                let st = self
-                    .stats
-                    .get_mut(&tenant)
-                    .expect("authenticated tenant has stats");
-                st.accepted += 1;
-                st.max_depth = st.max_depth.max(depth);
-                self.emit(
-                    s,
-                    EventKind::CloudIngest {
-                        tenant: tenant.0 as u32,
-                        depth,
-                    },
-                );
-                self.observe_window(&msg);
-                true
-            }
-            Err(TrySendError::Full(msg)) => match self.config.policy {
-                ShedPolicy::RejectNew => {
-                    let st = self.stats.get_mut(&tenant).expect("stats");
-                    st.shed_full += 1;
-                    self.emit(
-                        s,
-                        EventKind::CloudShed {
-                            tenant: tenant.0 as u32,
-                            cause: "queue_full",
-                        },
-                    );
-                    false
-                }
+        let q = self.route[tenant.0 as usize];
+        if self.queues[q].len() >= self.config.queue_cap.max(1) {
+            // Both policies shed exactly one message; DropOldest evicts
+            // the head to admit the tail. The evicted message's tenant
+            // eats the shed (under shared isolation that may be a
+            // different tenant — exactly the cross-tenant damage E16
+            // measures).
+            let (victim, cause) = match self.config.policy {
+                ShedPolicy::RejectNew => (tenant, "queue_full"),
                 ShedPolicy::DropOldest => {
-                    // Evict the head to admit the tail. The evicted
-                    // message's tenant eats the shed (under shared
-                    // isolation that may be a different tenant —
-                    // exactly the cross-tenant damage E16 measures).
-                    let victim = self.shards[s][i].rx.try_recv().ok();
-                    let q = &self.shards[s][i];
-                    let admitted = q.tx.try_send(msg).is_ok();
-                    let victim_tenant = victim.map(|v| v.tenant).unwrap_or(tenant);
-                    if let Some(st) = self.stats.get_mut(&victim_tenant) {
-                        st.shed_full += 1;
-                    }
-                    self.emit(
-                        s,
-                        EventKind::CloudShed {
-                            tenant: victim_tenant.0 as u32,
-                            cause: "drop_oldest",
-                        },
-                    );
-                    if admitted {
-                        let depth = self.shards[s][i].tx.len() as u32;
-                        let st = self.stats.get_mut(&tenant).expect("stats");
-                        st.accepted += 1;
-                        st.max_depth = st.max_depth.max(depth);
-                        self.emit(
-                            s,
-                            EventKind::CloudIngest {
-                                tenant: tenant.0 as u32,
-                                depth,
-                            },
-                        );
-                        self.observe_window(&msg);
-                    }
-                    admitted
+                    let head = self.queues[q].pop_front().expect("a full queue has a head");
+                    (head.tenant, "drop_oldest")
                 }
-            },
-            Err(TrySendError::Disconnected(_)) => {
-                unreachable!("pipeline owns both channel halves")
+            };
+            self.stats.get_mut(&victim).expect("stats").shed_full += 1;
+            self.emit(
+                shard,
+                EventKind::CloudShed {
+                    tenant: victim.0 as u32,
+                    cause,
+                },
+            );
+            if self.config.policy == ShedPolicy::RejectNew {
+                return false;
             }
         }
+        self.queues[q].push_back(msg);
+        let depth = self.queues[q].len() as u32;
+        let st = self.stats.get_mut(&tenant).expect("stats");
+        st.accepted += 1;
+        st.max_depth = st.max_depth.max(depth);
+        self.emit(
+            shard,
+            EventKind::CloudIngest {
+                tenant: tenant.0 as u32,
+                depth,
+            },
+        );
+        self.observe_window(&msg);
+        true
     }
 
     /// Advances the window watermark to the current virtual instant,
@@ -451,7 +381,7 @@ impl IngestPipeline {
 
     fn retire_windows(&mut self, closed: Vec<WindowResult>) {
         for r in &closed {
-            let shard = TenantId(r.key.tenant).shard(self.shards.len());
+            let shard = TenantId(r.key.tenant).shard(self.config.shards);
             self.emit(
                 shard,
                 EventKind::StreamWindow {
@@ -467,73 +397,55 @@ impl IngestPipeline {
     /// Runs every drain tick scheduled up to virtual instant `until`.
     /// Ticks fire at fixed boundaries (`k · tick`); at each, every
     /// shard drains up to `drain_batch` messages per queue and records
-    /// their queue latency at the boundary instant. Call this with the
-    /// next arrival's timestamp *before* offering it, so the drain
-    /// side keeps pace with the front door.
-    ///
-    /// With `threaded`, shards drain on scoped worker threads; results
-    /// are merged in shard order, so statistics are byte-identical to
-    /// the serial mode.
+    /// their queue latency at the boundary instant. Ticks with nothing
+    /// queued drain nothing and are skipped. Call this with the next
+    /// arrival's timestamp *before* offering it, so the drain side
+    /// keeps pace with the front door.
     pub fn drain_until(&mut self, until: SimTime) {
-        let tick = self.config.tick.as_micros().max(1);
-        let mut next = (self.now.as_micros() / tick + 1) * tick;
-        while next <= until.as_micros() {
-            let t = SimTime::from_micros(next);
-            self.now = t;
+        while self.queued() > 0 {
+            let t = self.next_tick();
+            if t > until {
+                break;
+            }
             self.drain_tick(t);
-            next += tick;
         }
         self.now = self.now.max(until);
-    }
-
-    /// One drain tick at instant `t`.
-    fn drain_tick(&mut self, t: SimTime) {
-        if self.shards.iter().flatten().all(|q| q.rx.is_empty()) {
-            return;
-        }
-        let batch = self.config.drain_batch;
-        // Per-shard results: (tenant, latencies of drained messages).
-        let results: Vec<Vec<(TenantId, Vec<u64>)>> = if self.config.threaded {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| scope.spawn(move |_| drain_shard(shard, t, batch)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("drain worker panicked"))
-                    .collect()
-            })
-            .expect("drain scope")
-        } else {
-            self.shards
-                .iter_mut()
-                .map(|shard| drain_shard(shard, t, batch))
-                .collect()
-        };
-        // Merge in shard order — identical regardless of which worker
-        // finished first.
-        for shard_result in results {
-            for (tenant, latencies) in shard_result {
-                let st = self.stats.entry(tenant).or_default();
-                st.drained += latencies.len() as u64;
-                for us in latencies {
-                    st.latency_us.observe(us as f64);
-                }
-            }
-        }
     }
 
     /// Drains everything still queued, ticking forward from the
     /// current instant until every queue is empty.
     pub fn drain_remaining(&mut self) {
-        let tick = self.config.tick.as_micros().max(1);
-        while self.shards.iter().flatten().any(|q| !q.rx.is_empty()) {
-            let next = (self.now.as_micros() / tick + 1) * tick;
-            let t = SimTime::from_micros(next);
-            self.now = t;
+        while self.queued() > 0 {
+            let t = self.next_tick();
             self.drain_tick(t);
+        }
+    }
+
+    /// The first tick boundary after the current instant.
+    fn next_tick(&self) -> SimTime {
+        let tick = self.config.tick.as_micros().max(1);
+        SimTime::from_micros((self.now.as_micros() / tick + 1) * tick)
+    }
+
+    /// One drain tick at instant `t`: queues in shard order, each in
+    /// FIFO order. Latency is attributed to the drained *message's*
+    /// tenant — under shared isolation a queue serves several tenants,
+    /// and the quiet ones must see the queueing delay the noisy one
+    /// inflicts.
+    fn drain_tick(&mut self, t: SimTime) {
+        self.now = t;
+        let batch = self.config.drain_batch;
+        for queue in &mut self.queues {
+            let n = batch.min(queue.len());
+            for msg in queue.drain(..n) {
+                let st = self
+                    .stats
+                    .get_mut(&msg.tenant)
+                    .expect("queued tenant has stats");
+                st.drained += 1;
+                let lat = t.as_micros().saturating_sub(msg.t.as_micros());
+                st.latency_us.observe(lat as f64);
+            }
         }
     }
 
@@ -561,33 +473,8 @@ impl IngestPipeline {
 
     /// Messages currently queued across all shards.
     pub fn queued(&self) -> usize {
-        self.shards.iter().flatten().map(|q| q.rx.len()).sum()
+        self.queues.iter().map(VecDeque::len).sum()
     }
-}
-
-/// Drains one shard's queues for one tick; runs on a worker thread in
-/// threaded mode. Pure function of queue contents, tick instant and
-/// batch budget — no shared mutable state, no ordering races.
-fn drain_shard(shard: &mut [TenantQueue], t: SimTime, batch: usize) -> Vec<(TenantId, Vec<u64>)> {
-    // Latency is attributed to the drained *message's* tenant — under
-    // shared isolation a queue serves several tenants, and the quiet
-    // ones must see the queueing delay the noisy one inflicts.
-    let mut out: Vec<(TenantId, Vec<u64>)> = Vec::with_capacity(shard.len());
-    for q in shard {
-        for _ in 0..batch {
-            match q.rx.try_recv() {
-                Ok(msg) => {
-                    let lat = t.as_micros().saturating_sub(msg.t.as_micros());
-                    match out.iter_mut().find(|(tid, _)| *tid == msg.tenant) {
-                        Some((_, v)) => v.push(lat),
-                        None => out.push((msg.tenant, vec![lat])),
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -665,49 +552,10 @@ mod tests {
         assert_eq!((st.offered, st.shed_auth, st.accepted), (1, 1, 0));
     }
 
-    /// (accepted, shed, drained, p50, p99) per tenant.
-    type DrainSummary = (u64, u64, u64, f64, f64);
-
-    #[test]
-    fn threaded_and_serial_drain_agree_exactly() {
-        let runs: Vec<Vec<DrainSummary>> = [false, true]
-            .iter()
-            .map(|&threaded| {
-                let mut p = pipeline(IngestConfig {
-                    shards: 4,
-                    queue_cap: 64,
-                    drain_batch: 16,
-                    tick: SimDuration::from_millis(1),
-                    threaded,
-                    ..IngestConfig::default()
-                });
-                for i in 0..4000u64 {
-                    let m = msg(&p, (i % 4) as u16, (i % 50) as u32, i * 17);
-                    p.drain_until(m.t);
-                    p.offer(m);
-                }
-                p.drain_remaining();
-                p.stats()
-                    .map(|(_, s)| {
-                        (
-                            s.accepted,
-                            s.shed(),
-                            s.drained,
-                            s.latency_us.quantile(0.5),
-                            s.latency_us.quantile(0.99),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "threaded drain must match serial drain");
-    }
-
     #[test]
     fn latency_is_virtual_time_from_arrival_to_drain_tick() {
         let mut p = pipeline(IngestConfig {
             tick: SimDuration::from_millis(10),
-            threaded: false,
             ..IngestConfig::default()
         });
         let m = msg(&p, 0, 0, 0);
@@ -716,6 +564,10 @@ mod tests {
         let st = p.tenant_stats(TenantId(0)).expect("stats");
         assert_eq!(st.drained, 1);
         assert!((st.latency_us.mean() - 10_000.0).abs() < 1e-9);
+        // With nothing queued the ticks are skipped, but time still
+        // advances to the requested instant.
+        p.drain_until(SimTime::from_micros(35_500));
+        assert_eq!(p.now(), SimTime::from_micros(35_500));
     }
 
     #[test]
@@ -745,10 +597,7 @@ mod tests {
     #[test]
     fn windows_aggregate_accepted_uplinks_per_tenant() {
         use iiot_stream::WindowSpec;
-        let mut p = pipeline(IngestConfig {
-            threaded: false,
-            ..IngestConfig::default()
-        });
+        let mut p = pipeline(IngestConfig::default());
         p.attach_stream(
             StreamConfig::default()
                 .with_windows(WindowSpec::tumbling(SimDuration::from_millis(10))),

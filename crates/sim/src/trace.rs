@@ -46,7 +46,9 @@ pub struct Summary {
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     counters: BTreeMap<String, f64>,
-    node_counters: BTreeMap<(String, NodeId), f64>,
+    /// Per-node counters, keyed by name first so a hot-path increment
+    /// is two lookups and allocates only on a name's first use.
+    node_counters: BTreeMap<String, BTreeMap<NodeId, f64>>,
     series: BTreeMap<String, Vec<f64>>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -59,15 +61,22 @@ impl Stats {
 
     /// Adds `v` to the global counter `name`.
     pub fn inc(&mut self, name: &str, v: f64) {
-        *self.counters.entry(name.to_owned()).or_insert(0.0) += v;
+        // Allocate the key only on first use, as `observe` does.
+        if let Some(c) = self.counters.get_mut(name) {
+            *c += v;
+        } else {
+            *self.counters.entry(name.to_owned()).or_insert(0.0) += v;
+        }
     }
 
     /// Adds `v` to the per-node counter `name` for `node`.
     pub fn inc_node(&mut self, node: NodeId, name: &str, v: f64) {
-        *self
-            .node_counters
-            .entry((name.to_owned(), node))
-            .or_insert(0.0) += v;
+        let per_node = if let Some(m) = self.node_counters.get_mut(name) {
+            m
+        } else {
+            self.node_counters.entry(name.to_owned()).or_default()
+        };
+        *per_node.entry(node).or_insert(0.0) += v;
     }
 
     /// Value of the global counter `name`, or 0 if never touched.
@@ -78,7 +87,8 @@ impl Stats {
     /// Value of the per-node counter, or 0 if never touched.
     pub fn get_node(&self, node: NodeId, name: &str) -> f64 {
         self.node_counters
-            .get(&(name.to_owned(), node))
+            .get(name)
+            .and_then(|m| m.get(&node))
             .copied()
             .unwrap_or(0.0)
     }
@@ -86,18 +96,19 @@ impl Stats {
     /// Sum of the per-node counter `name` over all nodes.
     pub fn node_total(&self, name: &str) -> f64 {
         self.node_counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v)
+            .get(name)
+            .into_iter()
+            .flat_map(BTreeMap::values)
             .sum()
     }
 
     /// Per-node values of counter `name`, in node-id order.
     pub fn node_values(&self, name: &str) -> Vec<(NodeId, f64)> {
         self.node_counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|((_, id), v)| (*id, *v))
+            .get(name)
+            .into_iter()
+            .flatten()
+            .map(|(id, v)| (*id, *v))
             .collect()
     }
 
@@ -199,8 +210,11 @@ impl Stats {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0.0) += v;
         }
-        for (k, v) in &other.node_counters {
-            *self.node_counters.entry(k.clone()).or_insert(0.0) += v;
+        for (k, per_node) in &other.node_counters {
+            let mine = self.node_counters.entry(k.clone()).or_default();
+            for (node, v) in per_node {
+                *mine.entry(*node).or_insert(0.0) += v;
+            }
         }
         for (k, v) in &other.series {
             self.series.entry(k.clone()).or_default().extend(v);
@@ -258,6 +272,45 @@ mod tests {
             s.node_values("fwd"),
             vec![(NodeId(0), 2.0), (NodeId(1), 3.0)]
         );
+    }
+
+    /// The name-first per-node layout must answer exactly as a flat
+    /// `(name, node)` map does — values, node order and the summation
+    /// order behind `node_total` — merges included.
+    #[test]
+    fn node_counters_match_the_flat_layout() {
+        type Flat = BTreeMap<(String, NodeId), f64>;
+        let names = ["tx", "rx", "fwd"];
+        let (mut a, mut b) = (Stats::new(), Stats::new());
+        let (mut fa, mut fb) = (Flat::new(), Flat::new());
+        for i in 0..300u32 {
+            let (node, name) = (NodeId(i * 7 % 13), names[(i * 5 % 7 % 3) as usize]);
+            let v = f64::from(i * 37 % 11) * 0.1 - 0.3;
+            let (s, f) = if i % 3 == 0 {
+                (&mut b, &mut fb)
+            } else {
+                (&mut a, &mut fa)
+            };
+            s.inc_node(node, name, v);
+            *f.entry((name.to_owned(), node)).or_insert(0.0) += v;
+        }
+        a.merge(&b);
+        for (k, v) in &fb {
+            *fa.entry(k.clone()).or_insert(0.0) += v;
+        }
+        let bits = |vs: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+            vs.into_iter().map(|(n, v)| (n, v.to_bits())).collect()
+        };
+        for name in ["tx", "rx", "fwd", "absent"] {
+            let flat = fa.iter().filter(|((n, _), _)| n == name);
+            let values: Vec<_> = flat.clone().map(|((_, id), v)| (*id, *v)).collect();
+            let total: f64 = flat.map(|(_, v)| v).sum();
+            assert_eq!(bits(a.node_values(name)), bits(values), "{name}");
+            assert_eq!(a.node_total(name).to_bits(), total.to_bits(), "{name}");
+        }
+        for ((name, node), v) in &fa {
+            assert_eq!(a.get_node(*node, name).to_bits(), v.to_bits());
+        }
     }
 
     #[test]

@@ -93,10 +93,10 @@ target/release/trace_report "$out/e15-j2.jsonl" > "$out/report-e15-j2.txt"
 diff -u "$out/report-e15-j1.txt" "$out/report-e15-j2.txt"
 grep -q "== icn ==" "$out/report-e15-j1.txt"
 
-# E16 runs the cloud pipeline's threaded per-shard drain *inside*
-# runner worker threads — two layers of scheduling freedom. Same
-# contract: byte-identical tables, dumps and traces at any worker
-# count, and the trace must carry the cloud-tier events.
+# E16 runs the cloud pipeline's sharded drain on each trial's own
+# thread, *inside* runner worker threads. Same contract:
+# byte-identical tables, dumps and traces at any worker count, and the
+# trace must carry the cloud-tier events.
 "$bin" e16 --quick --jobs 1 --json "$out/e16-j1.json" --trace "$out/e16-j1.jsonl" \
     > "$out/e16-j1.txt" 2> /dev/null
 "$bin" e16 --quick --jobs 2 --json "$out/e16-j2.json" --trace "$out/e16-j2.jsonl" \
