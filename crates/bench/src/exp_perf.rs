@@ -20,7 +20,9 @@
 //! * **`events`** — how many kernel events the workload dispatches.
 //!   A pure function of the workload, seed and shard count: byte-stable
 //!   across worker counts, machines and index on/off. This is what CI
-//!   *gates* on (`scripts/perf_gate.sh`).
+//!   *gates* on (`scripts/perf_gate.sh`). Each point's seed is derived
+//!   from what the point runs ([`point_seed`]) and recorded next to its
+//!   count, so a count never depends on which other points ran.
 //! * **wall-clock / events-per-second** — recorded into
 //!   `BENCH_perf.json` for trajectory tracking, never gated (CI
 //!   machines are noisy; timing thresholds make flaky gates).
@@ -35,6 +37,7 @@ use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_sim::prelude::*;
+use iiot_sim::seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -47,6 +50,20 @@ pub const SPACING_M: f64 = 20.0;
 /// MAC — the purest transmit-heavy stress of the begin-tx path, where
 /// the candidate scan dominates), `csma` and `lpl` run the real MACs.
 pub const MACS: [&str; 3] = ["bcast", "csma", "lpl"];
+
+/// Master seed every perf point's seed derives from.
+const MASTER_SEED: u64 = 0xBE2C_5CA1;
+
+/// The seed of one perf point: a pure function of the workload the
+/// point runs (the perf grid's side, MAC flavour, simulated seconds and
+/// shard count), never of the point's position in a matrix. The same workload therefore gives the same event count
+/// whichever other points ran with it, in either matrix.
+pub fn point_seed(side: u32, mac: &str, secs: u64, shards: u32) -> u64 {
+    seed::derive_labeled(
+        MASTER_SEED,
+        &format!("perf-grid/side={side}/mac={mac}/secs={secs}/shards={shards}"),
+    )
+}
 
 /// Bare periodic broadcaster: transmit as often as the radio allows,
 /// with no MAC machinery diluting the medium hot path.
@@ -105,6 +122,8 @@ pub struct PerfPoint {
     pub mac: &'static str,
     /// Simulated seconds of the workload.
     pub secs: u64,
+    /// The point's seed (see [`point_seed`]).
+    pub seed: u64,
     /// Events dispatched (identical for indexed and exhaustive runs —
     /// asserted by the harness; byte-stable across worker counts).
     pub events: u64,
@@ -137,6 +156,8 @@ pub struct ScalePoint {
     pub shards: u32,
     /// Simulated seconds of the workload.
     pub secs: u64,
+    /// The point's seed (see [`point_seed`]).
+    pub seed: u64,
     /// Events dispatched, summed across shards. A pure function of
     /// (workload, seed, shards): byte-stable across worker counts and
     /// machines *per shard count* — shard counts are distinct models,
@@ -277,7 +298,7 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
         .collect();
     fan_out(rc.runner.jobs(), points.len(), |i| {
         let (side, mac) = points[i];
-        let seed = 0xBE2C_0000 + i as u64;
+        let seed = point_seed(side, mac, secs, 1);
         let (ev_idx, wall_idx) = measure(side, mac, secs, seed, true, ShardConfig::default());
         let (ev_ex, wall_ex) = measure(side, mac, secs, seed, false, ShardConfig::default());
         assert_eq!(
@@ -289,6 +310,7 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
             nodes: side * side,
             mac,
             secs,
+            seed,
             events: ev_idx,
             wall_indexed_us: wall_idx.as_micros() as u64,
             wall_exhaustive_us: wall_ex.as_micros() as u64,
@@ -311,9 +333,9 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
 pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<ScalePoint> {
     let serial = std::thread::available_parallelism().map_or(true, |p| p.get() < 2);
     let mut out = Vec::new();
-    for (i, &side) in sides.iter().enumerate() {
+    for &side in sides {
         for &shards in shard_counts {
-            let seed = 0x5CA1_0000 + i as u64;
+            let seed = point_seed(side, "bcast", secs, shards);
             let shard = if serial {
                 ShardConfig::serial(shards as usize)
             } else {
@@ -325,6 +347,7 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
                 nodes: side * side,
                 shards,
                 secs,
+                seed,
                 events,
                 wall_us: wall.as_micros() as u64,
                 mode: if serial { "serial" } else { "threaded" },
@@ -417,18 +440,19 @@ pub fn to_json(
     stream: &[crate::exp_stream::StreamPoint],
     icn: &[crate::exp_icn::IcnPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v5\",\n");
+    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v6\",\n");
     out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"mac\": \"{}\", \"nodes\": {}, \
-             \"secs\": {}, \"events\": {}}}, \
+             \"secs\": {}, \"seed\": {}, \"events\": {}}}, \
              \"timing\": {{\"wall_indexed_us\": {}, \"wall_exhaustive_us\": {}, \
              \"speedup\": {:.2}, \"events_per_sec\": {:.0}}}}}{}\n",
             p.side,
             p.mac,
             p.nodes,
             p.secs,
+            p.seed,
             p.events,
             p.wall_indexed_us,
             p.wall_exhaustive_us,
@@ -441,12 +465,13 @@ pub fn to_json(
     for (i, p) in scaling.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"nodes\": {}, \"shards\": {}, \
-             \"secs\": {}, \"events\": {}}}, \
+             \"secs\": {}, \"seed\": {}, \"events\": {}}}, \
              \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}, \"mode\": \"{}\"}}}}{}\n",
             p.side,
             p.nodes,
             p.shards,
             p.secs,
+            p.seed,
             p.events,
             p.wall_us,
             p.events_per_sec(),
@@ -561,12 +586,30 @@ mod tests {
     }
 
     #[test]
+    fn point_seeds_and_counts_do_not_depend_on_the_matrix() {
+        let rc = RunConfig {
+            runner: crate::Runner::new(1),
+            trials: 1,
+        };
+        let key = |p: &PerfPoint| (p.side, p.mac, p.seed, p.events);
+        let both: Vec<_> = perf_matrix(&rc, &[3, 4], 2).iter().map(key).collect();
+        let alone: Vec<_> = perf_matrix(&rc, &[4], 2).iter().map(key).collect();
+        assert_eq!(both[MACS.len()..], alone[..]);
+        // The unsharded scaling point runs the index matrix's bcast
+        // workload: same seed, same count.
+        let s = scaling_curves(&[4], 2, &[1]);
+        assert_eq!((s[0].seed, s[0].events), (alone[0].2, alone[0].3));
+        assert_eq!(s[0].seed, point_seed(4, "bcast", 2, 1));
+    }
+
+    #[test]
     fn json_has_schema_and_deterministic_blocks() {
         let p = PerfPoint {
             side: 10,
             nodes: 100,
             mac: "csma",
             secs: 5,
+            seed: 77,
             events: 1234,
             wall_indexed_us: 1000,
             wall_exhaustive_us: 5000,
@@ -576,6 +619,7 @@ mod tests {
             nodes: 400,
             shards: 4,
             secs: 5,
+            seed: 78,
             events: 9876,
             wall_us: 2000,
             mode: "serial",
@@ -619,7 +663,9 @@ mod tests {
             wall_us: 42_000,
         };
         let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v5\""));
+        assert!(j.contains("\"schema\": \"iiot-bench/perf/v6\""));
+        assert!(j.contains("\"secs\": 5, \"seed\": 77, \"events\": 1234"));
+        assert!(j.contains("\"secs\": 5, \"seed\": 78, \"events\": 9876"));
         assert!(j.contains("\"cache_hits\": 80"));
         assert!(j.contains("\"verify_fails\": 0"));
         assert!(j.contains("\"log_records\": 400000"));

@@ -375,17 +375,19 @@ impl Default for TxRecord {
 
 /// One slab slot of the medium's transmission store. Slots are reused
 /// (bumping `generation`) once their record is both fully evaluated
-/// (`pending == 0`) and old enough to never matter for collision
+/// (no longer `queued`) and old enough to never matter for collision
 /// checks again; the candidate and payload buffers inside are recycled
 /// across transmissions.
 #[derive(Clone, Debug, Default)]
 struct TxSlot {
     generation: u32,
     live: bool,
-    /// Outstanding kernel events referencing this record: one `TxEnd`
-    /// plus one `RxEnd` per scheduled candidate. A record with pending
-    /// events is never evicted, whatever its age.
-    pending: u32,
+    /// A kernel queue entry still references this record: the origin's
+    /// `TxEnd`, or the entry through which a shard that adopted the
+    /// record evaluates its own nodes' receptions. Cleared by
+    /// [`Medium::release`] once that entry has evaluated every
+    /// reception. A queued record is never evicted, whatever its age.
+    queued: bool,
     rec: TxRecord,
 }
 
@@ -395,9 +397,9 @@ pub(crate) enum RxEval {
     /// Frame delivered to the node's protocol stack.
     Deliver(Frame, RxInfo),
     /// Frame lost (PRR draw, collision, radio moved, address filter),
-    /// with the link-layer source when the medium still knows it —
-    /// observability needs the drop *and* who caused it.
-    Dropped(DropReason, Option<NodeId>),
+    /// with the link-layer source — observability needs the drop *and*
+    /// who caused it.
+    Dropped(DropReason, NodeId),
 }
 
 /// Why a candidate reception failed; recorded in medium statistics.
@@ -413,11 +415,6 @@ pub enum DropReason {
     Filtered,
     /// The receiver died mid-frame.
     Dead,
-    /// The medium no longer knows the transmission (its record aged out
-    /// of the history slab). Structurally unreachable for scheduled
-    /// receptions — records with pending evaluations are never evicted —
-    /// but stale [`TxId`]s resolve here instead of panicking.
-    Expired,
 }
 
 impl DropReason {
@@ -429,7 +426,6 @@ impl DropReason {
             DropReason::RadioMoved => "radio_moved",
             DropReason::Filtered => "filtered",
             DropReason::Dead => "dead",
-            DropReason::Expired => "expired",
         }
     }
 }
@@ -449,14 +445,14 @@ pub struct MediumStats {
     pub lost_radio_moved: u64,
     /// Unicast frames dropped by the address filter.
     pub filtered: u64,
-    /// Evaluations of transmissions the medium no longer knew
-    /// (see [`DropReason::Expired`]); nonzero only for stale ids.
+    /// Transmission ends whose record the medium no longer knew (it
+    /// aged out of the history slab); nonzero only for stale ids.
     pub lost_expired: u64,
 }
 
 /// A radio-state snapshot of one node, exchanged between shard
 /// replicas at lookahead barriers. Only the fields that *remote*
-/// evaluations read (candidate filtering in `start_tx_into`, CCA and
+/// evaluations read (candidate filtering in `start_tx`, CCA and
 /// collision scans): energy meters and promiscuous flags stay local to
 /// the owning shard, which is the only place receptions evaluate.
 #[derive(Clone, Copy, Debug)]
@@ -626,16 +622,6 @@ impl Medium {
         n.listen_since = s.listen_since;
     }
 
-    /// Releases one pending evaluation of `tx` without evaluating it —
-    /// the shard router claims receptions destined for foreign nodes,
-    /// which evaluate against the adopted copy in the owning shard.
-    pub(crate) fn release_pending(&mut self, tx: TxId) {
-        if let Some(slot) = self.lookup(tx) {
-            let s = &mut self.slots[slot];
-            s.pending = s.pending.saturating_sub(1);
-        }
-    }
-
     /// Clones the record of `tx` for export to an audible neighbour
     /// shard. `None` only for stale ids (cannot happen for records
     /// exported in the window they were created).
@@ -653,11 +639,12 @@ impl Medium {
     }
 
     /// Adopts a foreign transmission record into the local slab so CCA
-    /// and collision scans see it; returns the local id under which
-    /// `pending` reception evaluations will arrive. Does not touch the
-    /// foreign source's radio state (snapshots carry that) and does not
-    /// count in `tx_started` (the origin shard already did).
-    pub(crate) fn adopt_echo(&mut self, echo: &EchoTx, pending: u32) -> TxId {
+    /// and collision scans see it; returns the local id. `queued` says
+    /// whether a queue entry will evaluate receptions against it (see
+    /// [`Medium::release`]). Does not touch the foreign source's radio
+    /// state (snapshots carry that) and does not count in `tx_started`
+    /// (the origin shard already did).
+    pub(crate) fn adopt_echo(&mut self, echo: &EchoTx, queued: bool) -> TxId {
         let slot = match self.free.pop() {
             Some(s) => s as usize,
             None => {
@@ -668,7 +655,7 @@ impl Medium {
         let id = TxId::compose(slot as u32, self.slots[slot].generation);
         let s = &mut self.slots[slot];
         s.live = true;
-        s.pending = pending;
+        s.queued = queued;
         s.rec.src = echo.src;
         s.rec.channel = echo.channel;
         s.rec.start = echo.start;
@@ -884,11 +871,11 @@ impl Medium {
     }
 
     /// Drops every record that can no longer matter: fully evaluated
-    /// (no pending `TxEnd`/`RxEnd` events) *and* past the collision
-    /// horizon. The retain rule is explicit: any record still in
-    /// flight (`end >= now`) or with pending evaluations survives,
-    /// regardless of its age — eviction can never turn a scheduled
-    /// reception into a dangling [`TxId`].
+    /// (no longer `queued`) *and* past the collision horizon. The
+    /// retain rule is explicit: any record still in flight
+    /// (`end >= now`) or still queued survives, regardless of its age —
+    /// eviction can never turn a queued transmission end into a
+    /// dangling [`TxId`].
     fn prune(&mut self, now: SimTime) {
         // `history` (two max-size airtimes) bounds how long a fully
         // evaluated record can still overlap a future evaluation; see
@@ -902,7 +889,7 @@ impl Medium {
         while i < self.active.len() {
             let slot = self.active[i] as usize;
             let s = &mut self.slots[slot];
-            if s.pending == 0 && s.rec.end < cutoff && s.rec.end < now {
+            if !s.queued && s.rec.end < cutoff && s.rec.end < now {
                 s.live = false;
                 s.generation = s.generation.wrapping_add(1);
                 s.rec.candidates.clear();
@@ -929,37 +916,36 @@ impl Medium {
         }
     }
 
-    /// Test/compat convenience around [`Medium::start_tx_into`] that
-    /// allocates a fresh schedule vector.
+    /// Test convenience around [`Medium::start_tx`] that also returns
+    /// the candidate receivers, in evaluation order.
     #[cfg(test)]
-    fn start_tx<R: Rng>(
+    fn start_tx_listed<R: Rng>(
         &mut self,
         frame: Frame,
         now: SimTime,
         rng: &mut R,
     ) -> Result<(TxId, SimTime, Vec<NodeId>), RadioError> {
-        let mut schedule = Vec::new();
-        let (id, end) = self.start_tx_into(frame, now, rng, &mut schedule)?;
-        Ok((id, end, schedule))
+        let (id, end) = self.start_tx(frame, now, rng)?;
+        let listed = (0..).map_while(|i| self.candidate(id, i)).collect();
+        Ok((id, end, listed))
     }
 
-    /// Starts a transmission. Returns the tx id and its end time, and
-    /// fills `schedule` (cleared first) with the candidate receivers for
-    /// which `RxEnd` events must be scheduled.
+    /// Starts a transmission. Returns the tx id and its end time. The
+    /// record lists the candidate receivers, which the kernel evaluates
+    /// in that order (see [`Medium::candidate`]) when it dispatches the
+    /// transmission's end; until then the record stays `queued`.
     ///
     /// Candidates are visited in ascending node-id order and the
     /// per-candidate PRR draw happens only for nodes passing the
     /// sensitivity check — with or without the spatial index, so both
     /// paths consume the RNG identically and simulations are
     /// byte-identical by construction.
-    pub(crate) fn start_tx_into<R: Rng>(
+    pub(crate) fn start_tx<R: Rng>(
         &mut self,
         frame: Frame,
         now: SimTime,
         rng: &mut R,
-        schedule: &mut Vec<NodeId>,
     ) -> Result<(TxId, SimTime), RadioError> {
-        schedule.clear();
         let src = frame.src;
         {
             let n = &self.nodes[src.index()];
@@ -1043,7 +1029,6 @@ impl Medium {
             }
             let ok = rng.gen::<f64>() < self.config.prr(d, rssi);
             candidates.push((r, rssi, ok));
-            schedule.push(r);
         }
         self.scratch = scratch;
 
@@ -1051,7 +1036,7 @@ impl Medium {
         self.mark_dirty(src.0);
         let s = &mut self.slots[slot];
         s.live = true;
-        s.pending = 1 + schedule.len() as u32; // TxEnd + one RxEnd each
+        s.queued = true;
         s.rec.src = src;
         s.rec.channel = channel;
         s.rec.start = now;
@@ -1067,7 +1052,7 @@ impl Medium {
     ///
     /// A stale or unknown `tx` yields a zero-receiver outcome instead
     /// of panicking; by construction the kernel's `TxEnd` event always
-    /// finds its record (pending events pin records in the slab).
+    /// finds its record (queued records are pinned in the slab).
     pub(crate) fn end_tx(&mut self, tx: TxId, now: SimTime) -> TxOutcome {
         let Some(slot) = self.lookup(tx) else {
             self.stats.lost_expired += 1;
@@ -1075,8 +1060,7 @@ impl Medium {
                 oracle_receivers: 0,
             };
         };
-        let s = &mut self.slots[slot];
-        s.pending = s.pending.saturating_sub(1);
+        let s = &self.slots[slot];
         let src = s.rec.src;
         let oracle = s.rec.candidates.iter().filter(|c| c.2).count();
         let n = &mut self.nodes[src.index()];
@@ -1090,26 +1074,42 @@ impl Medium {
         }
     }
 
-    /// Evaluates the candidate reception of `tx` at `node`, at the end of
-    /// the transmission.
-    pub(crate) fn eval_rx(&mut self, tx: TxId, node: NodeId, _now: SimTime) -> RxEval {
-        let Some(rec_idx) = self.lookup(tx) else {
-            self.stats.lost_expired += 1;
-            return RxEval::Dropped(DropReason::Expired, None);
-        };
-        self.slots[rec_idx].pending = self.slots[rec_idx].pending.saturating_sub(1);
+    /// Marks `tx`'s queue entry as dispatched: once it is old enough,
+    /// the record may be evicted. A no-op for unknown ids.
+    pub(crate) fn release(&mut self, tx: TxId) {
+        if let Some(slot) = self.lookup(tx) {
+            self.slots[slot].queued = false;
+        }
+    }
+
+    /// The `i`-th candidate receiver of `tx`, or `None` past the last
+    /// one (or for an unknown `tx`). Candidates are in ascending
+    /// node-id order, the order their receptions evaluate in.
+    pub(crate) fn candidate(&self, tx: TxId, i: usize) -> Option<NodeId> {
+        let slot = self.lookup(tx)?;
+        self.slots[slot].rec.candidates.get(i).map(|c| c.0)
+    }
+
+    /// Evaluates the reception of `tx` at its `i`-th candidate, at the
+    /// end of the transmission.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Medium::candidate`] returns `Some` for `(tx, i)`.
+    pub(crate) fn eval_rx(&mut self, tx: TxId, i: usize) -> RxEval {
+        let rec_idx = self
+            .lookup(tx)
+            .expect("reception of an unknown transmission");
         let rec = &self.slots[rec_idx].rec;
         let rec_start = rec.start;
         let rec_end = rec.end;
         let rec_channel = rec.channel;
         let rec_src = rec.src;
-        let Some(&(_, rssi, prr_ok)) = rec.candidates.iter().find(|c| c.0 == node) else {
-            return RxEval::Dropped(DropReason::RadioMoved, Some(rec_src));
-        };
+        let (node, rssi, prr_ok) = rec.candidates[i];
         let n = &self.nodes[node.index()];
         if !n.alive {
             self.stats.lost_radio_moved += 1;
-            return RxEval::Dropped(DropReason::Dead, Some(rec_src));
+            return RxEval::Dropped(DropReason::Dead, rec_src);
         }
         // The radio must have been listening on this channel for the
         // whole frame.
@@ -1118,11 +1118,11 @@ impl Medium {
             || n.channel != rec_channel
         {
             self.stats.lost_radio_moved += 1;
-            return RxEval::Dropped(DropReason::RadioMoved, Some(rec_src));
+            return RxEval::Dropped(DropReason::RadioMoved, rec_src);
         }
         if !prr_ok {
             self.stats.lost_prr += 1;
-            return RxEval::Dropped(DropReason::Prr, Some(rec_src));
+            return RxEval::Dropped(DropReason::Prr, rec_src);
         }
         // Collision check: any other overlapping audible transmission
         // strong enough to defeat capture destroys the frame. Only the
@@ -1145,14 +1145,14 @@ impl Medium {
             if let Some(int_rssi) = self.config.rssi_at(d) {
                 if rssi < int_rssi + self.config.capture_db {
                     self.stats.lost_collision += 1;
-                    return RxEval::Dropped(DropReason::Collision, Some(rec_src));
+                    return RxEval::Dropped(DropReason::Collision, rec_src);
                 }
             }
         }
         let rec = &self.slots[rec_idx].rec;
         if !rec.frame.dst.accepts(node) && !n.promiscuous {
             self.stats.filtered += 1;
-            return RxEval::Dropped(DropReason::Filtered, Some(rec_src));
+            return RxEval::Dropped(DropReason::Filtered, rec_src);
         }
         self.stats.delivered += 1;
         // Clone the frame for delivery, backing the payload with a
@@ -1181,6 +1181,16 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Evaluates the reception of `tx` at `node`, which must be one of
+    /// its candidates.
+    fn eval_at(m: &mut Medium, tx: TxId, node: NodeId) -> RxEval {
+        let i = (0..)
+            .map_while(|i| m.candidate(tx, i))
+            .position(|c| c == node)
+            .expect("not a candidate");
+        m.eval_rx(tx, i)
+    }
 
     fn medium_with_line(n: usize, spacing: f64) -> Medium {
         let mut m = Medium::new(RadioConfig::default());
@@ -1227,7 +1237,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![1, 2, 3]);
         assert_eq!(
-            m.start_tx(f, SimTime::ZERO, &mut rng).unwrap_err(),
+            m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap_err(),
             RadioError::Off
         );
     }
@@ -1240,13 +1250,13 @@ mod tests {
         m.radio_on(NodeId(0), t0).unwrap();
         m.radio_on(NodeId(1), t0).unwrap();
         let f = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 7, vec![42]);
-        let (tx, end, sched) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
+        let (tx, end, sched) = m.start_tx_listed(f.clone(), t0, &mut rng).unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
         assert_eq!(m.state(NodeId(0)), RadioState::Transmitting);
         let out = m.end_tx(tx, end);
         assert_eq!(out.oracle_receivers, 1);
         assert_eq!(m.state(NodeId(0)), RadioState::Listening);
-        match m.eval_rx(tx, NodeId(1), end) {
+        match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Deliver(got, info) => {
                 assert_eq!(got, f);
                 assert_eq!(info.channel, 0);
@@ -1264,7 +1274,7 @@ mod tests {
         m.radio_on(NodeId(0), SimTime::ZERO).unwrap();
         m.radio_on(NodeId(1), SimTime::ZERO).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![]);
-        let (_, _, sched) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (_, _, sched) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         assert!(sched.is_empty());
     }
 
@@ -1276,14 +1286,17 @@ mod tests {
             m.radio_on(NodeId(i), SimTime::ZERO).unwrap();
         }
         let f = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 0, vec![]);
-        let (tx, end, sched) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (tx, end, sched) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         assert_eq!(sched.len(), 2);
         m.end_tx(tx, end);
         assert!(matches!(
-            m.eval_rx(tx, NodeId(2), end),
+            eval_at(&mut m, tx, NodeId(2)),
             RxEval::Dropped(DropReason::Filtered, _)
         ));
-        assert!(matches!(m.eval_rx(tx, NodeId(1), end), RxEval::Deliver(..)));
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(1)),
+            RxEval::Deliver(..)
+        ));
     }
 
     #[test]
@@ -1295,9 +1308,12 @@ mod tests {
         }
         m.set_promiscuous(NodeId(2), true);
         let f = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 0, vec![]);
-        let (tx, end, _) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (tx, end, _) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         m.end_tx(tx, end);
-        assert!(matches!(m.eval_rx(tx, NodeId(2), end), RxEval::Deliver(..)));
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(2)),
+            RxEval::Deliver(..)
+        ));
     }
 
     #[test]
@@ -1307,13 +1323,13 @@ mod tests {
         m.radio_on(NodeId(0), SimTime::ZERO).unwrap();
         m.radio_on(NodeId(1), SimTime::ZERO).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![0; 50]);
-        let (tx, end, _) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (tx, end, _) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         // Receiver cycles its radio in the middle of the frame.
         m.radio_off(NodeId(1)).unwrap();
         m.radio_on(NodeId(1), SimTime::from_micros(100)).unwrap();
         m.end_tx(tx, end);
         assert!(matches!(
-            m.eval_rx(tx, NodeId(1), end),
+            eval_at(&mut m, tx, NodeId(1)),
             RxEval::Dropped(DropReason::RadioMoved, _)
         ));
     }
@@ -1328,11 +1344,13 @@ mod tests {
         }
         let f0 = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![0; 50]);
         let f2 = Frame::new(NodeId(2), Dst::Broadcast, 0, vec![0; 50]);
-        let (tx0, end0, _) = m.start_tx(f0, SimTime::ZERO, &mut rng).unwrap();
-        let (_tx2, _, _) = m.start_tx(f2, SimTime::from_micros(50), &mut rng).unwrap();
+        let (tx0, end0, _) = m.start_tx_listed(f0, SimTime::ZERO, &mut rng).unwrap();
+        let (_tx2, _, _) = m
+            .start_tx_listed(f2, SimTime::from_micros(50), &mut rng)
+            .unwrap();
         m.end_tx(tx0, end0);
         assert!(matches!(
-            m.eval_rx(tx0, NodeId(1), end0),
+            eval_at(&mut m, tx0, NodeId(1)),
             RxEval::Dropped(DropReason::Collision, _)
         ));
         assert_eq!(m.stats().lost_collision, 1);
@@ -1351,11 +1369,12 @@ mod tests {
         }
         let f0 = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 0, vec![0; 20]);
         let f2 = Frame::new(NodeId(2), Dst::Broadcast, 0, vec![0; 20]);
-        let (tx0, end0, _) = m.start_tx(f0, SimTime::ZERO, &mut rng).unwrap();
-        m.start_tx(f2, SimTime::from_micros(10), &mut rng).unwrap();
+        let (tx0, end0, _) = m.start_tx_listed(f0, SimTime::ZERO, &mut rng).unwrap();
+        m.start_tx_listed(f2, SimTime::from_micros(10), &mut rng)
+            .unwrap();
         m.end_tx(tx0, end0);
         assert!(matches!(
-            m.eval_rx(tx0, NodeId(1), end0),
+            eval_at(&mut m, tx0, NodeId(1)),
             RxEval::Deliver(..)
         ));
     }
@@ -1368,7 +1387,7 @@ mod tests {
         m.radio_on(NodeId(1), SimTime::ZERO).unwrap();
         m.set_channel(NodeId(1), 5, SimTime::ZERO).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![]);
-        let (_, _, sched) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (_, _, sched) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         assert!(sched.is_empty());
         assert!(!m.cca_busy(NodeId(1), SimTime::from_micros(10)));
     }
@@ -1380,7 +1399,7 @@ mod tests {
         m.radio_on(NodeId(0), SimTime::ZERO).unwrap();
         m.radio_on(NodeId(1), SimTime::ZERO).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![0; 50]);
-        let (tx, end, _) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
+        let (tx, end, _) = m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap();
         assert!(m.cca_busy(NodeId(1), SimTime::from_micros(10)));
         m.end_tx(tx, end);
         assert!(!m.cca_busy(NodeId(1), end));
@@ -1394,19 +1413,23 @@ mod tests {
         m.radio_on(NodeId(1), SimTime::ZERO).unwrap();
         m.block_link(NodeId(0), NodeId(1));
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![]);
-        let (tx, end, sched) = m.start_tx(f.clone(), SimTime::ZERO, &mut rng).unwrap();
+        let (tx, end, sched) = m
+            .start_tx_listed(f.clone(), SimTime::ZERO, &mut rng)
+            .unwrap();
         assert!(sched.is_empty());
         m.end_tx(tx, end);
         m.unblock_link(NodeId(0), NodeId(1));
         m.set_group(NodeId(1), 1);
         m.set_partitioned(true);
         let (tx, end, sched) = m
-            .start_tx(f.clone(), SimTime::from_millis(10), &mut rng)
+            .start_tx_listed(f.clone(), SimTime::from_millis(10), &mut rng)
             .unwrap();
         assert!(sched.is_empty());
         m.end_tx(tx, end);
         m.set_partitioned(false);
-        let (_, _, sched) = m.start_tx(f, SimTime::from_millis(20), &mut rng).unwrap();
+        let (_, _, sched) = m
+            .start_tx_listed(f, SimTime::from_millis(20), &mut rng)
+            .unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
     }
 
@@ -1418,7 +1441,7 @@ mod tests {
         m.set_alive(NodeId(0), false);
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![]);
         assert_eq!(
-            m.start_tx(f, SimTime::ZERO, &mut rng).unwrap_err(),
+            m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap_err(),
             RadioError::NodeDead
         );
     }
@@ -1430,7 +1453,7 @@ mod tests {
         m.radio_on(NodeId(0), SimTime::ZERO).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![0; 200]);
         assert_eq!(
-            m.start_tx(f, SimTime::ZERO, &mut rng).unwrap_err(),
+            m.start_tx_listed(f, SimTime::ZERO, &mut rng).unwrap_err(),
             RadioError::FrameTooLarge
         );
     }
@@ -1439,50 +1462,51 @@ mod tests {
     fn stale_tx_id_is_expired_not_a_panic() {
         // Once a fully evaluated record ages past the history horizon
         // it is pruned and its slot recycled; the old id must resolve
-        // to a structured drop, never a panic (regression: end_tx used
-        // to `expect` the record).
+        // to "unknown transmission", never a panic (regression: end_tx
+        // used to `expect` the record).
         let mut m = medium_with_line(2, 10.0);
         let mut rng = SmallRng::seed_from_u64(1);
         let t0 = SimTime::ZERO;
         m.radio_on(NodeId(0), t0).unwrap();
         m.radio_on(NodeId(1), t0).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![1]);
-        let (tx, end, sched) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
+        let (tx, end, sched) = m.start_tx_listed(f.clone(), t0, &mut rng).unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
         m.end_tx(tx, end);
-        assert!(matches!(m.eval_rx(tx, NodeId(1), end), RxEval::Deliver(..)));
-        // All pending evaluations drained; a transmission far past the
-        // horizon triggers pruning and recycles the slot.
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(1)),
+            RxEval::Deliver(..)
+        ));
+        m.release(tx);
+        // The queue entry is done; a transmission far past the horizon
+        // triggers pruning and recycles the slot.
         let later = SimTime::from_secs(3);
-        let (tx2, end2, _) = m.start_tx(f, later, &mut rng).unwrap();
+        let (tx2, end2) = m.start_tx(f, later, &mut rng).unwrap();
         assert_ne!(tx, tx2, "recycled slot must carry a new generation");
         assert_eq!(m.end_tx(tx, later).oracle_receivers, 0);
-        match m.eval_rx(tx, NodeId(1), later) {
-            RxEval::Dropped(DropReason::Expired, None) => {}
-            other => panic!("expected Expired drop, got {other:?}"),
-        }
-        assert_eq!(m.stats().lost_expired, 2);
+        assert_eq!(m.candidate(tx, 0), None, "a stale id has no receptions");
+        assert_eq!(m.stats().lost_expired, 1);
         m.end_tx(tx2, end2);
     }
 
     #[test]
     fn pending_evaluations_pin_records_past_horizon() {
-        // A record with an un-dispatched RxEnd must survive pruning no
-        // matter how old it is: eviction may never turn a scheduled
-        // reception into a dangling id.
+        // A record whose queue entry has not been dispatched must
+        // survive pruning no matter how old it is: eviction may never
+        // turn a queued transmission end into a dangling id.
         let mut m = medium_with_line(2, 10.0);
         let mut rng = SmallRng::seed_from_u64(2);
         let t0 = SimTime::ZERO;
         m.radio_on(NodeId(0), t0).unwrap();
         m.radio_on(NodeId(1), t0).unwrap();
         let f = Frame::new(NodeId(0), Dst::Broadcast, 0, vec![7]);
-        let (tx, end, _) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
+        let (tx, end) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
         m.end_tx(tx, end);
-        // Deliberately do NOT eval_rx yet. 10 s later a new
+        // Deliberately do NOT evaluate or release yet. 10 s later a new
         // transmission prunes history — the pinned record survives.
         let later = SimTime::from_secs(10);
-        let (tx2, end2, _) = m.start_tx(f, later, &mut rng).unwrap();
-        match m.eval_rx(tx, NodeId(1), later) {
+        let (tx2, end2) = m.start_tx(f, later, &mut rng).unwrap();
+        match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Deliver(got, _) => assert_eq!(got.payload, vec![7]),
             other => panic!("pinned record must still deliver, got {other:?}"),
         }
@@ -1533,8 +1557,8 @@ mod tests {
                 let mut rng_a = SmallRng::seed_from_u64(0xC0FFEE ^ i as u64);
                 let mut rng_b = rng_a.clone();
                 let f = Frame::new(src, Dst::Broadcast, 0, vec![i as u8]);
-                let res_a = with_index.start_tx(f.clone(), SimTime::ZERO, &mut rng_a);
-                let res_b = exhaustive.start_tx(f, SimTime::ZERO, &mut rng_b);
+                let res_a = with_index.start_tx_listed(f.clone(), SimTime::ZERO, &mut rng_a);
+                let res_b = exhaustive.start_tx_listed(f, SimTime::ZERO, &mut rng_b);
                 match (res_a, res_b) {
                     (Ok((tx_a, end_a, sched_a)), Ok((tx_b, end_b, sched_b))) => {
                         prop_assert_eq!(&sched_a, &sched_b);

@@ -25,8 +25,9 @@
 //!    receiving shard adopts them into its slab so its collision and
 //!    CCA scans see the foreign traffic, and evaluates its own nodes'
 //!    receptions against the origin's PRR draws.
-//! 3. **Cross-shard events** (receptions and backhaul messages)
-//!    captured by the kernel's routing hook.
+//! 3. **Cross-shard events** captured by the kernel's routing hook:
+//!    backhaul messages, and for each border transmission one entry per
+//!    receiving shard that evaluates all of that shard's receptions.
 //!
 //! # Semantics
 //!
@@ -99,8 +100,10 @@ impl Recorder for ShardBuf {
 #[derive(Default)]
 struct TargetBatch {
     snaps: Vec<NodeStateSnap>,
-    /// `(origin tx id, record, pending local receptions)`.
-    adopts: Vec<(TxId, EchoTx, u32)>,
+    /// `(origin tx id, record, whether the target owns a candidate)`.
+    adopts: Vec<(TxId, EchoTx, bool)>,
+    /// Backhaul messages, plus a [`StagedEv::Tx`] for each adopted
+    /// record the target owns a candidate of, in staging order.
     events: Vec<StagedEv>,
 }
 
@@ -256,7 +259,6 @@ impl ShardEngine {
                 own,
                 echo_mask: echo_masks.clone(),
                 out_events: Vec::new(),
-                out_echoes: Vec::new(),
             })));
             if recorder.is_some() {
                 w.set_recorder(Box::new(ShardBuf::default()));
@@ -735,7 +737,7 @@ impl ShardEngine {
 /// Drains shard `i`'s staged cross-shard traffic into per-target
 /// batches, plus its buffered observability events.
 fn drain_outbox(w: &mut World, i: usize, shard_of: &[u8], k: usize) -> Outbox {
-    let (events, echo_notes) = w.take_staged();
+    let events = w.take_staged();
     let dirty = w.medium_mut().drain_dirty();
     let mut per_target: Vec<TargetBatch> = (0..k).map(|_| TargetBatch::default()).collect();
 
@@ -752,34 +754,31 @@ fn drain_outbox(w: &mut World, i: usize, shard_of: &[u8], k: usize) -> Outbox {
         }
     }
 
-    // Echo records for border transmissions, with the number of
-    // receptions each target will evaluate against its adopted copy.
-    for (tx, mask) in echo_notes {
-        let Some(echo) = w.medium().export_echo(tx) else {
-            continue; // structurally unreachable: records outlive their window
-        };
-        for (j, tb) in per_target.iter_mut().enumerate() {
-            if j == i || mask & (1 << j) == 0 {
-                continue;
-            }
-            let pending = events
-                .iter()
-                .filter(|e| {
-                    matches!(e, StagedEv::RxEnd { node, tx: etx, .. }
-                        if *etx == tx && shard_of[node.index()] as usize == j)
-                })
-                .count() as u32;
-            tb.adopts.push((tx, echo.clone(), pending));
-        }
-    }
-
     // Events in staging order (relative order fixes queue tie-breaks).
+    // A border transmission's record goes to every shard in its mask;
+    // those owning a candidate also get its reception entry.
     for ev in events {
-        let j = match &ev {
-            StagedEv::RxEnd { node, .. } => shard_of[node.index()],
-            StagedEv::Wire { to, .. } => shard_of[to.index()],
-        } as usize;
-        per_target[j].events.push(ev);
+        match ev {
+            StagedEv::Tx { time, tx, mask } => {
+                let Some(echo) = w.medium().export_echo(tx) else {
+                    continue; // structurally unreachable: records outlive their window
+                };
+                for (j, tb) in per_target.iter_mut().enumerate() {
+                    if j == i || mask & (1 << j) == 0 {
+                        continue;
+                    }
+                    let receives = echo
+                        .candidates
+                        .iter()
+                        .any(|c| shard_of[c.0.index()] as usize == j);
+                    if receives {
+                        tb.events.push(StagedEv::Tx { time, tx, mask });
+                    }
+                    tb.adopts.push((tx, echo.clone(), receives));
+                }
+            }
+            StagedEv::Wire { to, .. } => per_target[shard_of[to.index()] as usize].events.push(ev),
+        }
     }
 
     let obs = w
@@ -798,19 +797,19 @@ fn apply_inbox(w: &mut World, batches: Vec<TargetBatch>) {
             w.apply_foreign_snap(s);
         }
         let mut map: Vec<(TxId, TxId)> = Vec::with_capacity(b.adopts.len());
-        for (otx, echo, pending) in &b.adopts {
-            let ltx = w.medium_mut().adopt_echo(echo, *pending);
+        for (otx, echo, receives) in &b.adopts {
+            let ltx = w.medium_mut().adopt_echo(echo, *receives);
             map.push((*otx, ltx));
         }
         for ev in b.events {
             match ev {
-                StagedEv::RxEnd { time, node, tx } => {
+                StagedEv::Tx { time, tx, .. } => {
                     let ltx = map
                         .iter()
                         .find(|(o, _)| *o == tx)
                         .map(|(_, l)| *l)
                         .expect("staged reception without an adopted record");
-                    w.inject_rx_end(time, node, ltx);
+                    w.inject_rx(time, ltx);
                 }
                 StagedEv::Wire {
                     time,

@@ -14,7 +14,7 @@ use crate::trace::Stats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Static world parameters.
 #[derive(Clone, Debug)]
@@ -130,15 +130,18 @@ enum Ev {
     },
     Timer {
         node: NodeId,
-        id: u64,
+        id: TimerId,
         tag: u64,
     },
+    /// A transmission ends: the sender's `tx_done`, then the reception
+    /// at every candidate this world owns, in candidate order.
     TxEnd {
         node: NodeId,
         tx: TxId,
     },
-    RxEnd {
-        node: NodeId,
+    /// The receptions of a transmission adopted from another shard, at
+    /// the candidates this world owns, in candidate order.
+    Rx {
         tx: TxId,
     },
     Wire {
@@ -154,16 +157,19 @@ enum Ev {
 /// barrier (see [`crate::shard`]).
 #[derive(Debug)]
 pub(crate) enum StagedEv {
-    /// A scheduled reception at a node owned by another shard. `tx` is
-    /// the *origin* shard's transmission id; the receiving shard
-    /// rewrites it to its adopted copy of the record.
-    RxEnd {
-        /// When the reception evaluates (transmission end).
+    /// A border transmission, staged when its `TxEnd` is queued. At the
+    /// barrier its record is echoed to every shard in `mask`; each of
+    /// those that owns a candidate queues one [`Ev::Rx`] entry, in this
+    /// event's place in staging order, which evaluates its nodes'
+    /// receptions against the adopted copy of the record.
+    Tx {
+        /// When the receptions evaluate (transmission end).
         time: SimTime,
-        /// The foreign receiver.
-        node: NodeId,
-        /// Origin-shard transmission id.
+        /// Origin-shard transmission id; each receiving shard rewrites
+        /// it to its adopted copy.
         tx: TxId,
+        /// The shards the record is echoed to.
+        mask: u64,
     },
     /// A backhaul message to a node owned by another shard.
     Wire {
@@ -180,8 +186,8 @@ pub(crate) enum StagedEv {
 
 /// Per-replica shard routing state, installed by the sharded engine.
 /// When present, [`Kernel::push`] diverts events targeting foreign
-/// nodes into `out_events` and notes border transmissions whose record
-/// must be echoed to audible neighbour shards.
+/// nodes into `out_events` and stages border transmissions, whose
+/// record must be echoed to audible neighbour shards.
 pub(crate) struct ShardRoute {
     /// `own[i]` — node `i` is owned (dispatched) by this shard.
     pub(crate) own: Vec<bool>,
@@ -190,31 +196,20 @@ pub(crate) struct ShardRoute {
     pub(crate) echo_mask: Vec<u64>,
     /// Cross-shard events staged during the current window.
     pub(crate) out_events: Vec<StagedEv>,
-    /// Border transmissions of this window: `(tx, foreign-shard mask)`.
-    /// The engine exports each record once at the barrier.
-    pub(crate) out_echoes: Vec<(TxId, u64)>,
 }
 
 impl ShardRoute {
-    /// Routes `ev`: returns it unchanged when it stays in this shard,
-    /// or stages it (releasing its pending slot in the medium, for
-    /// receptions) and returns `None`.
-    fn route(&mut self, medium: &mut Medium, time: SimTime, ev: Ev) -> Option<Ev> {
+    /// Routes `ev`: returns it when it stays in this shard (staging a
+    /// border transmission's echo on the way), or stages it and returns
+    /// `None`.
+    fn route(&mut self, time: SimTime, ev: Ev) -> Option<Ev> {
         match ev {
             Ev::TxEnd { node, tx } => {
                 let mask = self.echo_mask[node.index()];
                 if mask != 0 {
-                    self.out_echoes.push((tx, mask));
+                    self.out_events.push(StagedEv::Tx { time, tx, mask });
                 }
-                Some(Ev::TxEnd { node, tx })
-            }
-            Ev::RxEnd { node, tx } if !self.own[node.index()] => {
-                // The origin record counts one pending RxEnd per
-                // candidate; the foreign reception evaluates against
-                // the *adopted* copy instead.
-                medium.release_pending(tx);
-                self.out_events.push(StagedEv::RxEnd { time, node, tx });
-                None
+                Some(ev)
             }
             Ev::Wire { to, from, payload } if !self.own[to.index()] => {
                 self.out_events.push(StagedEv::Wire {
@@ -272,8 +267,7 @@ pub(crate) struct Kernel {
     meters: Vec<EnergyMeter>,
     rngs: Vec<SmallRng>,
     stats: Stats,
-    cancelled: HashSet<u64>,
-    next_timer: u64,
+    timers: TimerSlots,
     wire_latency: SimDuration,
     seed: u64,
     clock_model: ClockModel,
@@ -283,11 +277,9 @@ pub(crate) struct Kernel {
     /// Structured-event sink; `None` (the default) makes every
     /// emission a single branch on `obs_on`.
     recorder: Option<Box<dyn Recorder>>,
-    /// Reused scratch for per-transmission receiver schedules, so the
-    /// hot transmit path allocates nothing in steady state.
-    tx_schedule: Vec<NodeId>,
-    /// Total events dispatched since construction (the simulator's
-    /// natural unit of work, reported by perf harnesses).
+    /// Logical events dispatched since construction (the simulator's
+    /// natural unit of work, reported by perf harnesses): one per queue
+    /// entry, plus one per reception a transmission's entry evaluates.
     dispatched: u64,
     /// Shard routing table, installed only by the sharded engine.
     /// `None` in every standalone world: the hot path pays one branch.
@@ -298,7 +290,7 @@ impl Kernel {
     fn push(&mut self, time: SimTime, ev: Ev) {
         debug_assert!(time >= self.now, "scheduling into the past");
         let ev = if let Some(route) = self.shard.as_deref_mut() {
-            match route.route(&mut self.medium, time, ev) {
+            match route.route(time, ev) {
                 Some(ev) => ev,
                 None => return, // staged for a foreign shard
             }
@@ -308,6 +300,13 @@ impl Kernel {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(QEntry { time, seq, ev }));
+    }
+
+    /// Whether this world dispatches `node`'s protocol: always, unless
+    /// it is a shard replica and another shard owns the node.
+    #[inline]
+    fn owns(&self, node: NodeId) -> bool {
+        self.shard.as_deref().is_none_or(|r| r.own[node.index()])
     }
 
     fn sync_meter(&mut self, node: NodeId) {
@@ -336,6 +335,46 @@ impl Kernel {
                 kind,
             });
         }
+    }
+}
+
+/// Generation-checked timer slots. A [`TimerId`] packs a slot index (low
+/// 32 bits) and that slot's generation (high 32 bits). Firing or
+/// cancelling a timer bumps its slot's generation and frees the slot,
+/// so the id of a timer that fired, is firing right now or was
+/// cancelled never matches again, and no state outlives its timer.
+#[derive(Default)]
+struct TimerSlots {
+    generations: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl TimerSlots {
+    fn arm(&mut self) -> TimerId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.generations.push(0);
+            (self.generations.len() - 1) as u32
+        });
+        TimerId((u64::from(self.generations[slot as usize]) << 32) | u64::from(slot))
+    }
+
+    /// Frees `id`'s slot if `id` is still armed; returns whether it was.
+    fn disarm(&mut self, id: TimerId) -> bool {
+        let slot = (id.0 & 0xFFFF_FFFF) as usize;
+        match self.generations.get_mut(slot) {
+            Some(generation) if *generation == (id.0 >> 32) as u32 => {
+                *generation = generation.wrapping_add(1);
+                self.free.push(slot as u32);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Timers armed and neither fired nor cancelled yet.
+    #[cfg(test)]
+    fn armed(&self) -> usize {
+        self.generations.len() - self.free.len()
     }
 }
 
@@ -394,15 +433,13 @@ impl World {
                 meters: Vec::new(),
                 rngs: Vec::new(),
                 stats: Stats::new(),
-                cancelled: HashSet::new(),
-                next_timer: 0,
+                timers: TimerSlots::default(),
                 wire_latency: config.wire_latency,
                 seed: config.seed,
                 clock_model: config.clock,
                 clocks: Vec::new(),
                 recorder,
                 obs_on: false, // synced below from `recorder`
-                tx_schedule: Vec::new(),
                 dispatched: 0,
                 shard: None,
             },
@@ -485,6 +522,10 @@ impl World {
     /// work. Deterministic per seed and workload, independent of wall
     /// clock, which makes it the right quantity for perf *gates* (the
     /// count must not drift) as opposed to perf *tracking* (timings).
+    ///
+    /// It counts logical events, not queue entries: a transmission end
+    /// is one queue entry that also evaluates every candidate reception,
+    /// and each of those receptions counts as one event of its own.
     pub fn events_dispatched(&self) -> u64 {
         self.kernel.dispatched
     }
@@ -816,24 +857,22 @@ impl World {
         self.kernel.now = bound;
     }
 
-    /// Drains the events and border-transmission notes staged by the
-    /// routing hook during the last window.
-    pub(crate) fn take_staged(&mut self) -> (Vec<StagedEv>, Vec<(TxId, u64)>) {
+    /// Drains the events staged by the routing hook during the last
+    /// window, in staging order.
+    pub(crate) fn take_staged(&mut self) -> Vec<StagedEv> {
         let route = self
             .kernel
             .shard
             .as_deref_mut()
             .expect("take_staged on unsharded world");
-        (
-            std::mem::take(&mut route.out_events),
-            std::mem::take(&mut route.out_echoes),
-        )
+        std::mem::take(&mut route.out_events)
     }
 
-    /// Queues a reception delivered from another shard. `tx` must
-    /// already be rewritten to this replica's adopted record id.
-    pub(crate) fn inject_rx_end(&mut self, time: SimTime, node: NodeId, tx: TxId) {
-        self.kernel.push(time, Ev::RxEnd { node, tx });
+    /// Queues the receptions of a transmission adopted from another
+    /// shard, to evaluate at `time`. `tx` must already be this
+    /// replica's adopted record id.
+    pub(crate) fn inject_rx(&mut self, time: SimTime, tx: TxId) {
+        self.kernel.push(time, Ev::Rx { tx });
     }
 
     /// Queues a backhaul message delivered from another shard.
@@ -865,7 +904,10 @@ impl World {
     // -------------------------------------------------------------------
 
     fn dispatch(&mut self, ev: Ev) {
-        self.kernel.dispatched += 1;
+        // An `Rx` entry counts only the receptions it evaluates.
+        if !matches!(ev, Ev::Rx { .. }) {
+            self.kernel.dispatched += 1;
+        }
         match ev {
             Ev::Action(idx) => {
                 if let Some(f) = self.actions[idx].take() {
@@ -878,19 +920,10 @@ impl World {
                 }
             }
             Ev::Timer { node, id, tag } => {
-                if self.kernel.cancelled.remove(&id) {
-                    return;
-                }
-                if self.alive[node.index()] {
-                    self.call(node, |p, ctx| {
-                        p.timer(
-                            ctx,
-                            Timer {
-                                id: TimerId(id),
-                                tag,
-                            },
-                        )
-                    });
+                // A cancelled timer's slot has moved on to a new
+                // generation; a live one is freed before it runs.
+                if self.kernel.timers.disarm(id) && self.alive[node.index()] {
+                    self.call(node, |p, ctx| p.timer(ctx, Timer { id, tag }));
                 }
             }
             Ev::TxEnd { node, tx } => {
@@ -913,45 +946,62 @@ impl World {
                 if self.alive[node.index()] {
                     self.call(node, |p, ctx| p.tx_done(ctx, outcome));
                 }
+                self.receive(tx);
             }
-            Ev::RxEnd { node, tx } => {
-                let eval = self.kernel.medium.eval_rx(tx, node, self.kernel.now);
-                match eval {
-                    RxEval::Deliver(frame, info) => {
-                        self.kernel.emit(
-                            node,
-                            SpanId::NONE,
-                            EventKind::RxDeliver {
-                                src: frame.src,
-                                port: frame.port,
-                            },
-                        );
-                        if self.alive[node.index()] {
-                            self.call(node, |p, ctx| p.frame(ctx, &frame, info));
-                        }
-                        // The delivered clone is dead now; hand its
-                        // payload buffer back to the medium's pool.
-                        self.kernel.medium.recycle_payload(frame.payload);
-                    }
-                    RxEval::Dropped(reason, src) => {
-                        if reason == crate::radio::DropReason::Expired {
-                            self.kernel.stats.inc_node(node, "expired_txid", 1.0);
-                        }
-                        self.kernel.emit(
-                            node,
-                            SpanId::NONE,
-                            EventKind::RxDrop {
-                                cause: reason.name(),
-                                src,
-                            },
-                        );
-                    }
-                }
-            }
+            Ev::Rx { tx } => self.receive(tx),
             Ev::Wire { to, from, payload } => {
                 if self.alive[to.index()] {
                     self.call(to, |p, ctx| p.wire(ctx, from, &payload));
                 }
+            }
+        }
+    }
+
+    /// Evaluates `tx`'s reception at every candidate this world owns, in
+    /// candidate order, each counting as one dispatched event, then
+    /// releases the record. Whatever a callback queues lands behind the
+    /// whole loop, exactly as if each reception were a queue entry of
+    /// its own with consecutive sequence numbers.
+    fn receive(&mut self, tx: TxId) {
+        let mut i = 0;
+        while let Some(node) = self.kernel.medium.candidate(tx, i) {
+            if self.kernel.owns(node) {
+                self.kernel.dispatched += 1;
+                self.rx_end(tx, i, node);
+            }
+            i += 1;
+        }
+        self.kernel.medium.release(tx);
+    }
+
+    /// One reception: `node` is `tx`'s `i`-th candidate.
+    fn rx_end(&mut self, tx: TxId, i: usize, node: NodeId) {
+        match self.kernel.medium.eval_rx(tx, i) {
+            RxEval::Deliver(frame, info) => {
+                self.kernel.emit(
+                    node,
+                    SpanId::NONE,
+                    EventKind::RxDeliver {
+                        src: frame.src,
+                        port: frame.port,
+                    },
+                );
+                if self.alive[node.index()] {
+                    self.call(node, |p, ctx| p.frame(ctx, &frame, info));
+                }
+                // The delivered clone is dead now; hand its payload
+                // buffer back to the medium's pool.
+                self.kernel.medium.recycle_payload(frame.payload);
+            }
+            RxEval::Dropped(reason, src) => {
+                self.kernel.emit(
+                    node,
+                    SpanId::NONE,
+                    EventKind::RxDrop {
+                        cause: reason.name(),
+                        src: Some(src),
+                    },
+                );
             }
         }
     }
@@ -1048,8 +1098,7 @@ impl Ctx<'_> {
     /// Panics if `at` is in the past.
     pub fn set_timer_at(&mut self, at: SimTime, tag: u64) -> TimerId {
         assert!(at >= self.kernel.now, "timer in the past");
-        let id = self.kernel.next_timer;
-        self.kernel.next_timer += 1;
+        let id = self.kernel.timers.arm();
         self.kernel.push(
             at,
             Ev::Timer {
@@ -1058,15 +1107,13 @@ impl Ctx<'_> {
                 tag,
             },
         );
-        TimerId(id)
+        id
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired or
-    /// [`TimerId::NONE`] timer is a no-op.
+    /// Cancels a pending timer. Cancelling a timer that already fired,
+    /// the timer now firing, or [`TimerId::NONE`] is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if !id.is_none() {
-            self.kernel.cancelled.insert(id.0);
-        }
+        self.kernel.timers.disarm(id);
     }
 
     /// Powers the radio on (listening).
@@ -1135,22 +1182,11 @@ impl Ctx<'_> {
         let frame = Frame::new(self.node, dst, port, payload);
         let node = self.node;
         // Borrow dance: rng and medium are both in the kernel.
-        // The schedule lands in a kernel-owned scratch vector that is
-        // reused across transmissions (taken while the medium borrow is
-        // live, put back after the events are queued).
-        let mut schedule = std::mem::take(&mut self.kernel.tx_schedule);
-        let res = {
+        let (tx, end) = {
             let Kernel {
                 medium, rngs, now, ..
             } = &mut *self.kernel;
-            medium.start_tx_into(frame, *now, &mut rngs[node.index()], &mut schedule)
-        };
-        let (tx, end) = match res {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.kernel.tx_schedule = schedule;
-                return Err(e);
-            }
+            medium.start_tx(frame, *now, &mut rngs[node.index()])?
         };
         self.kernel.sync_meter(node);
         self.kernel.emit(
@@ -1165,11 +1201,8 @@ impl Ctx<'_> {
                 bytes,
             },
         );
+        // One queue entry: its dispatch evaluates every reception too.
         self.kernel.push(end, Ev::TxEnd { node, tx });
-        for &r in &schedule {
-            self.kernel.push(end, Ev::RxEnd { node: r, tx });
-        }
-        self.kernel.tx_schedule = schedule;
         Ok(())
     }
 
@@ -1440,6 +1473,71 @@ mod tests {
     }
 
     #[test]
+    fn transmission_end_dispatch_order() {
+        // Node 0 broadcasts to three listeners (ids 1..=3); node 4 is out
+        // of range. Every callback logs a code into the "order" series:
+        // 0 = tx_done at the sender, r = reception at node r, 100 + r =
+        // a zero-delay timer armed by node r, 200 = the ACK node 2 sends
+        // the moment it receives, arriving back at the sender.
+        struct Order;
+        impl Proto for Order {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.radio_on().expect("radio");
+                if ctx.id() == NodeId(0) {
+                    ctx.set_timer(SimDuration::from_millis(1), 0);
+                }
+            }
+            fn timer(&mut self, ctx: &mut Ctx<'_>, t: Timer) {
+                if t.tag == 0 {
+                    ctx.transmit(Dst::Broadcast, 1, vec![7; 4]).expect("tx");
+                } else {
+                    ctx.record("order", 100.0 + ctx.id().0 as f64);
+                }
+            }
+            fn tx_done(&mut self, ctx: &mut Ctx<'_>, _o: crate::radio::TxOutcome) {
+                if ctx.id() == NodeId(0) {
+                    ctx.record("order", 0.0);
+                }
+            }
+            fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+                if frame.port == 2 {
+                    ctx.record("order", 200.0);
+                    return;
+                }
+                ctx.record("order", ctx.id().0 as f64);
+                match ctx.id().0 {
+                    1 => {
+                        ctx.set_timer(SimDuration::ZERO, 1);
+                    }
+                    2 => ctx
+                        .transmit(Dst::Unicast(frame.src), 2, vec![0; 3])
+                        .expect("ack"),
+                    _ => {}
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        for x in [0.0, 5.0, 10.0, 15.0, 300.0] {
+            w.add_node(Pos::new(x, 0.0), Box::new(Order));
+        }
+        // 4-byte payload: (17 + 4) * 8 bits at 250 kbit/s = 672 us.
+        let end = SimTime::from_micros(1_672);
+        w.run_until(end - SimDuration::from_micros(1));
+        let before = w.events_dispatched();
+        assert!(w.stats().samples("order").is_empty());
+        w.run_until(end);
+        // The TxEnd, one reception per candidate (k = 3), and the
+        // zero-delay timer node 1 armed from its reception.
+        assert_eq!(w.events_dispatched() - before, 1 + 3 + 1);
+        assert_eq!(w.stats().samples("order"), &[0.0, 1.0, 2.0, 3.0, 101.0]);
+        w.run_for(SimDuration::from_millis(5));
+        assert_eq!(
+            w.stats().samples("order"),
+            &[0.0, 1.0, 2.0, 3.0, 101.0, 200.0]
+        );
+    }
+
+    #[test]
     fn wire_messages_arrive_after_latency() {
         struct W {
             got: Vec<(NodeId, Vec<u8>, SimTime)>,
@@ -1537,18 +1635,57 @@ mod tests {
 
     #[test]
     fn expired_txid_drop_counts_per_node() {
-        // A reception whose transmission record aged out of the slab is
-        // dropped as Expired — the global medium stat says how many, the
-        // per-node counter says at which receivers.
+        // A transmission end whose record aged out of the slab finds no
+        // record — the global medium stat says how many, the per-node
+        // counter says whose transmission it was. It has no receptions.
         let mut w = World::new(SimConfig::default());
-        let _a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-        let b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
+        let a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
+        let _b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
         w.run_for(SimDuration::from_millis(1));
         // A TxId no slab record ever matched (generation 7 of slot 0).
         let stale = crate::radio::TxId(7u64 << 32);
-        w.inject_rx_end(w.now() + SimDuration::from_millis(1), b, stale);
+        let at = w.now() + SimDuration::from_millis(1);
+        w.kernel.push(at, Ev::TxEnd { node: a, tx: stale });
+        let before = w.events_dispatched();
         w.run_for(SimDuration::from_millis(2));
         assert_eq!(w.medium().stats().lost_expired, 1);
-        assert_eq!(w.stats().get_node(b, "expired_txid"), 1.0);
+        assert_eq!(w.stats().get_node(a, "expired_txid"), 1.0);
+        assert_eq!(w.events_dispatched() - before, 1);
+    }
+
+    #[test]
+    fn fired_and_cancelled_timers_leave_nothing_behind() {
+        // Node 0 arms timer A (5 ms) and B (10 ms). When A fires it
+        // cancels itself (the timer now firing) and cancels it again;
+        // when B fires it cancels A (already fired) and arms and cancels
+        // C. Every id goes stale and no slot stays armed.
+        #[derive(Default)]
+        struct T {
+            a: TimerId,
+            fired: Vec<u64>,
+        }
+        impl Proto for T {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                self.a = ctx.set_timer(SimDuration::from_millis(5), 1);
+                ctx.set_timer(SimDuration::from_millis(10), 2);
+            }
+            fn timer(&mut self, ctx: &mut Ctx<'_>, t: Timer) {
+                self.fired.push(t.tag);
+                ctx.cancel_timer(t.id);
+                ctx.cancel_timer(self.a);
+                if t.tag == 2 {
+                    let c = ctx.set_timer(SimDuration::from_millis(1), 3);
+                    ctx.cancel_timer(c);
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let n = w.add_node(Pos::new(0.0, 0.0), Box::new(T::default()));
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(w.proto::<T>(n).fired, vec![1, 2]);
+        assert_eq!(w.kernel.timers.armed(), 0, "no timer stays armed");
+        // Three timers, at most two armed at once: two slots, both free.
+        assert_eq!(w.kernel.timers.generations.len(), 2);
+        assert_eq!(w.kernel.timers.free.len(), 2);
     }
 }

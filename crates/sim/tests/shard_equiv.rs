@@ -14,6 +14,7 @@
 use iiot_sim::obs::{Event, EventKind, Recorder};
 use iiot_sim::prelude::*;
 use proptest::prelude::*;
+use rand::Rng;
 use std::any::Any;
 
 /// A recorder that keeps every event for byte comparison.
@@ -316,4 +317,131 @@ proptest! {
         let two = fingerprint(&topo, seed, 1, ShardConfig::serial(2));
         assert_same_modulo_ties(&one, &two, &format!("seed={seed} a={a} b={b}"));
     }
+}
+
+/// A minimal CSMA sender: each period it senses the channel, backs off
+/// 1–4 ms while busy, otherwise unicasts a data frame to its right-hand
+/// grid neighbour (left-hand on the last column), which answers at once
+/// with a short ACK. Unicast overhearing exercises the address filter;
+/// the immediate ACK is a transmission issued from inside a reception.
+struct Csma {
+    cols: u32,
+    period_ms: u64,
+    acks: u64,
+}
+
+impl Csma {
+    const DATA: u8 = 1;
+    const ACK: u8 = 2;
+
+    fn grid(cols: u32) -> impl Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static {
+        move |i| {
+            Box::new(Csma {
+                cols,
+                period_ms: 30 + (i as u64 * 11) % 17,
+                acks: 0,
+            })
+        }
+    }
+
+    fn peer(&self, me: NodeId) -> NodeId {
+        if me.0 % self.cols + 1 < self.cols {
+            NodeId(me.0 + 1)
+        } else {
+            NodeId(me.0 - 1)
+        }
+    }
+}
+
+impl Proto for Csma {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.radio_on().expect("radio");
+        let first = 1 + ctx.rng().gen_range(0..self.period_ms);
+        ctx.set_timer(SimDuration::from_millis(first), 0);
+    }
+    fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+        if ctx.cca_busy() {
+            let backoff = ctx.rng().gen_range(1..=4);
+            ctx.set_timer(SimDuration::from_millis(backoff), 0);
+            return;
+        }
+        let peer = self.peer(ctx.id());
+        ctx.transmit(Dst::Unicast(peer), Self::DATA, vec![0x5A; 24])
+            .ok();
+        ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
+    }
+    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+        match frame.port {
+            Self::DATA => {
+                ctx.transmit(Dst::Unicast(frame.src), Self::ACK, vec![0xAC; 3])
+                    .ok();
+            }
+            _ => self.acks += 1,
+        }
+    }
+}
+
+/// FNV-1a over the JSON encoding of every structured event, one line
+/// each: a 64-bit digest of the trace bytes.
+fn trace_digest(trace: &[Event]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for ev in trace {
+        for b in ev.to_json().bytes().chain(std::iter::once(b'\n')) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Pins the `shards = 1, 2, 4` models of a border-straddling CSMA grid
+/// to values recorded before reception evaluation was folded into the
+/// transmission-end dispatch. The other tests here compare one build
+/// with itself; this one catches any change to a sharded model across
+/// kernel rewrites: event count, medium counters and trace bytes.
+#[test]
+fn sharded_csma_grid_matches_recorded_golden() {
+    // (shards, events dispatched, medium stats, trace digest)
+    let golden: [(usize, u64, &str, u64); 3] = [
+        (
+            1,
+            100446,
+            "MediumStats { tx_started: 5250, delivered: 5202, lost_prr: 41746, lost_collision: 10193, lost_radio_moved: 646, filtered: 31090, lost_expired: 0 }",
+            0x23b092298537e4ed,
+        ),
+        (
+            2,
+            98638,
+            "MediumStats { tx_started: 5241, delivered: 4751, lost_prr: 40624, lost_collision: 10989, lost_radio_moved: 1496, filtered: 29896, lost_expired: 0 }",
+            0xe92a8dbf858db144,
+        ),
+        (
+            4,
+            94992,
+            "MediumStats { tx_started: 5135, delivered: 3690, lost_prr: 39399, lost_collision: 11477, lost_radio_moved: 2019, filtered: 28259, lost_expired: 0 }",
+            0x15505d394a4fdae5,
+        ),
+    ];
+    let topo = Topology::grid(6, 6, 15.0);
+    let got: Vec<(usize, u64, String, u64)> = golden
+        .iter()
+        .map(|&(k, ..)| {
+            let mut sim = SimBuilder::new()
+                .seed(0x5EED_C5AA)
+                .nodes(topo.clone(), Csma::grid(6))
+                .sharding(ShardConfig::serial(k))
+                .recorder(Box::new(VecRec::default()))
+                .build();
+            sim.run(SimDuration::from_secs(3));
+            let acks: u64 = (0..36).map(|n| sim.proto::<Csma>(NodeId(n)).acks).sum();
+            assert!(acks > 0, "k={k}: no data frame was acknowledged");
+            let digest = trace_digest(&sim.recorder_as::<VecRec>().expect("VecRec").0);
+            let medium = format!("{:?}", sim.medium_stats());
+            (k, sim.events_dispatched(), medium, digest)
+        })
+        .collect();
+    let want: Vec<(usize, u64, String, u64)> = golden
+        .iter()
+        .map(|&(k, e, m, d)| (k, e, m.to_string(), d))
+        .collect();
+    assert_eq!(got, want);
 }

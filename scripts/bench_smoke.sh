@@ -200,7 +200,7 @@ grep -q '"shards": 2' "$out/perf-s2-j1.det"
 python3 - BENCH_perf.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "iiot-bench/perf/v5", doc.get("schema")
+assert doc["schema"] == "iiot-bench/perf/v6", doc.get("schema")
 assert isinstance(doc["spacing_m"], (int, float))
 assert doc["points"], "no points in committed BENCH_perf.json"
 assert doc["scaling"], "no scaling curves in committed BENCH_perf.json"
@@ -209,14 +209,14 @@ assert doc["stream"], "no stream points in committed BENCH_perf.json"
 assert doc["icn"], "no icn points in committed BENCH_perf.json"
 for p in doc["points"]:
     d, t = p["deterministic"], p["timing"]
-    assert set(d) == {"side", "mac", "nodes", "secs", "events"}, d.keys()
+    assert set(d) == {"side", "mac", "nodes", "secs", "seed", "events"}, d.keys()
     assert set(t) == {
         "wall_indexed_us", "wall_exhaustive_us", "speedup", "events_per_sec",
     }, t.keys()
     assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d
 for p in doc["scaling"]:
     d, t = p["deterministic"], p["timing"]
-    assert set(d) == {"side", "nodes", "shards", "secs", "events"}, d.keys()
+    assert set(d) == {"side", "nodes", "shards", "secs", "seed", "events"}, d.keys()
     assert set(t) == {"wall_us", "events_per_sec", "mode"}, t.keys()
     assert t["mode"] in {"threaded", "serial"}, t
     assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d

@@ -48,7 +48,7 @@ import json, sys
 
 def deterministic(path):
     doc = json.load(open(path))
-    assert doc["schema"] == "iiot-bench/perf/v5", doc.get("schema")
+    assert doc["schema"] == "iiot-bench/perf/v6", doc.get("schema")
     points, scaling, cloud = doc["points"], doc["scaling"], doc["cloud"]
     stream, icn = doc["stream"], doc["icn"]
     assert points, "no index points measured"
@@ -58,7 +58,7 @@ def deterministic(path):
     assert icn, "no icn points measured"
     for p in points:
         d, t = p["deterministic"], p["timing"]
-        assert set(d) == {"side", "mac", "nodes", "secs", "events"}, d.keys()
+        assert set(d) == {"side", "mac", "nodes", "secs", "seed", "events"}, d.keys()
         assert set(t) == {
             "wall_indexed_us", "wall_exhaustive_us", "speedup", "events_per_sec",
         }, t.keys()
@@ -66,7 +66,7 @@ def deterministic(path):
         assert d["events"] > 0, d
     for p in scaling:
         d, t = p["deterministic"], p["timing"]
-        assert set(d) == {"side", "nodes", "shards", "secs", "events"}, d.keys()
+        assert set(d) == {"side", "nodes", "shards", "secs", "seed", "events"}, d.keys()
         assert set(t) == {"wall_us", "events_per_sec", "mode"}, t.keys()
         assert t["mode"] in {"threaded", "serial"}, t
         assert d["nodes"] == d["side"] ** 2, d
